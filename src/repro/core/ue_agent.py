@@ -17,13 +17,12 @@ from repro.lte.nas import (
     SapAttachRequest,
     SapScopedAttachRequest,
 )
-from repro.lte.security import SecurityContext
 from repro.lte.ue import UeNas
 from repro.net import Host
 
 from .billing import Meter, REPORTER_UE
-from .messages import scope_attach_mac
-from .sap import MobilityGrant, SapError, UeSap, UeSapCredentials
+from .sap import UeSapCredentials
+from .sap_control import SapUe
 
 # CellBricks UE processing costs (seconds): crafting authReqU costs more
 # than a plain AttachRequest (hybrid encrypt + sign); the response check
@@ -36,145 +35,29 @@ CB_UE_COSTS = {
 }
 
 
-class CellBricksUe(UeNas):
-    """UE attaching on-demand to untrusted bTelcos via its broker."""
+class CellBricksUe(SapUe, UeNas):
+    """UE attaching on-demand to untrusted bTelcos via its broker (the
+    SAP logic is :class:`~repro.core.sap_control.SapUe`)."""
 
-    craft_span_name = "sap.ue_craft"
-    _SPAN_NAMES = dict(UeNas._SPAN_NAMES)
-    _SPAN_NAMES[SapAttachChallenge] = "sap.ue_verify"
+    sap_request_type = SapAttachRequest
+    scoped_request_type = SapScopedAttachRequest
+    challenge_type = SapAttachChallenge
+    sap_craft_costs = CB_UE_COSTS
+    processing_costs = dict(UeNas.processing_costs)
+    processing_costs[SapAttachChallenge] = CB_UE_COSTS[SapAttachChallenge]
 
     def __init__(self, host: Host, enb_ip: str,
                  credentials: UeSapCredentials, target_id_t: str,
                  name: str = "cb-ue"):
         super().__init__(host, enb_ip, imsi=credentials.id_u,
                          usim=None, serving_network=target_id_t, name=name)
-        self.credentials = credentials
-        self.sap = UeSap(credentials)
-        self.target_id_t = target_id_t
-        self.session_id: Optional[str] = None
+        self._init_sap_ue(credentials, target_id_t)
         self.meter: Optional[Meter] = None
-        #: optional scope request dict ({"telcos": [...], "ttl": s}) sent
-        #: inside the encrypted authVec on the next full attach.
-        self.scope_request: Optional[dict] = None
-        #: broker-issued mobility grant — survives detach_and_forget so
-        #: the next attach to an in-scope bTelco skips the broker.
-        self.mobility_grant: Optional[MobilityGrant] = None
-        self._scoped_attempt = False
-        self.scoped_attaches = 0
-        self.scoped_fallbacks = 0
-        self.processing_costs = dict(UeNas.processing_costs)
-        self.processing_costs[SapAttachChallenge] = \
-            CB_UE_COSTS[SapAttachChallenge]
-        self.on(SapAttachChallenge, self._on_sap_challenge)
         self.on(SapAttachReject, self._on_reject)
 
-    # -- attach ------------------------------------------------------------------
-    def attach(self) -> None:
-        """SAP attach: the latency clock starts here, as in §6.1."""
-        if self.state not in ("DEREGISTERED", "REJECTED"):
-            raise RuntimeError(f"attach() in state {self.state}")
-        self.state = "ATTACHING"
-        self.attach_started_at = self.sim.now
-        self.security = None  # fresh EMM state for the new attempt
-        self.session_id = None
-        self._reject_retries = 0
-        if self._grant_covers_target():
-            craft = CB_UE_COSTS["craft_scoped_request"]
-        else:
-            craft = CB_UE_COSTS["craft_sap_request"]
-        self.charge(craft)
-        self._obs_begin_attach(craft)
-        self.sim.schedule(craft, self._send_attach_request)
-
-    def _grant_covers_target(self) -> bool:
-        grant = self.mobility_grant
-        return (grant is not None
-                and grant.covers(self.target_id_t, self.sim.now))
-
-    def initial_request(self):
-        # Called once per attach attempt (the supervision layer resends
-        # the cached request): a nonce / attach counter is minted here
-        # and must stay stable across retransmissions of the attempt.
-        if self._grant_covers_target():
-            grant = self.mobility_grant
-            counter = grant.next_counter
-            grant.next_counter += 1
-            self._scoped_attempt = True
-            self.scoped_attaches += 1
-            # The grant restores what attach() just cleared: ss is the
-            # session key (KASME for the inherited SMC handler) and the
-            # session id keeps billing continuity across bTelcos.
-            self.session_id = grant.session_id
-            self.security = SecurityContext(kasme=grant.ss)
-            mac = scope_attach_mac(grant.ss, grant.session_id, counter,
-                                   self.target_id_t)
-            return SapScopedAttachRequest(token=grant.token,
-                                          counter=counter, mac=mac)
-        self._scoped_attempt = False
-        auth_req_u = self.sap.craft_request(self.target_id_t,
-                                            scope=self.scope_request)
-        return SapAttachRequest(auth_req_u=auth_req_u)
-
-    def _on_reject(self, src_ip: str, reject) -> None:
-        if (self.state == "ATTACHING" and self._scoped_attempt
-                and not getattr(reject, "retryable", False)):
-            # The scope-local fast path failed terminally (expired,
-            # revoked, counter burned...).  Drop the grant and fall back
-            # to a full SAP attach within the same attempt — the latency
-            # clock keeps running, so the fallback cost is visible.
-            self.mobility_grant = None
-            self._scoped_attempt = False
-            self.scoped_fallbacks += 1
-            self.session_id = None
-            self.security = None
-            self._stop_attach_supervision()
-            self.sim.schedule(0.0, self._retry_after_reject)
-            return
-        super()._on_reject(src_ip, reject)
-
-    def _on_attach_give_up(self) -> None:
-        super()._on_attach_give_up()
-        # Abandon the outstanding SAP nonce: a late response must not
-        # validate, and the next attach crafts a fresh request.
-        self.sap.abandon()
-        self.session_id = None
-
-    def retarget(self, enb_ip: str, id_t: str) -> None:
-        """Point the UE at a different bTelco (host-driven mobility)."""
-        self.enb_ip = enb_ip
-        self.target_id_t = id_t
-        self.serving_network = id_t
-
-    # -- SAP response -----------------------------------------------------------------
-    def _on_sap_challenge(self, src_ip: str,
-                          challenge: SapAttachChallenge) -> None:
-        if self.state != "ATTACHING":
-            return  # stale challenge from an abandoned attempt
-        if self.security is not None:
-            # Duplicate challenge (the bTelco replayed the leg because
-            # our SMC complete was lost): the single-use nonce is already
-            # consumed, so just ignore it — the SMC retransmission path
-            # carries the attach forward.
-            return
-        try:
-            response = self.sap.process_response(challenge.auth_resp_u)
-        except SapError as exc:
-            self._fail(str(exc))
-            return
-        self.session_id = response.session_id
-        if getattr(response, "scope", None) is not None:
-            # Broker granted a mobility scope: keep it past detach so
-            # the next in-scope attach needs no broker round-trip.
-            self.mobility_grant = MobilityGrant(
-                token=response.scope, session_id=response.session_id,
-                ss=response.ss, next_counter=1)
-        # ss becomes KASME (§4.1); the inherited SMC handler validates the
-        # bTelco's Security Mode Command against it.
-        self.security = SecurityContext(kasme=response.ss)
-
-    def _on_attach_accept(self, src_ip: str, accept) -> None:
+    def _on_accept(self, src_ip: str, accept) -> None:
         was_attached = self.state == "ATTACHED"
-        super()._on_attach_accept(src_ip, accept)
+        super()._on_accept(src_ip, accept)
         if was_attached:
             return  # duplicate accept: keep the existing meter
         if self.state == "ATTACHED" and self.session_id is not None:

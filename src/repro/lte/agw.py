@@ -362,16 +362,26 @@ class Agw(SignalingNode):
                           next_timeout)
 
     def _abandon_attach(self, context: UeContext) -> None:
-        """Release a half-open attach whose UE went silent (bearer,
-        context, S1 association) so nothing leaks."""
+        """Release a half-open attach whose UE went silent so nothing
+        leaks."""
+        context.state = "ABANDONED"
+        self._release_ue(context)
+
+    def _release_ue(self, context: UeContext) -> None:
+        """Terminal cleanup shared by abandon/detach/teardown: the
+        bearer, the context, and the S1 association all go."""
         if context.bearer is not None and context.bearer.active:
             self.spgw.delete_bearer(context.bearer.ebi)
-        context.state = "ABANDONED"
         self.send(context.enb_ip,
                   S1UeContextRelease(enb_ue_id=context.enb_ue_id), size=32)
         self.contexts.pop(context.enb_ue_id, None)
         if context.imsi:
             self._by_imsi.pop(context.imsi, None)
+        self.context_released(context)
+
+    def context_released(self, context: UeContext) -> None:
+        """Hook: a context left ``self.contexts`` (subclasses drop their
+        per-session state here)."""
 
     def _on_attach_complete(self, context: UeContext) -> None:
         if context.state != "WAIT_ATTACH_COMPLETE":
@@ -384,19 +394,22 @@ class Agw(SignalingNode):
     # -- detach -----------------------------------------------------------------
     def _on_detach(self, context: UeContext,
                    request: Optional[DetachRequest] = None) -> None:
-        if context.bearer is not None and context.bearer.active:
-            self.spgw.delete_bearer(context.bearer.ebi)
         context.state = "DETACHED"
         if request is None or not request.switch_off:
             # Switch-off detaches expect no acknowledgement (TS 24.301).
             self.downlink_protected(context, DetachAccept())
-        self.send(context.enb_ip,
-                  S1UeContextRelease(enb_ue_id=context.enb_ue_id), size=32)
-        self.contexts.pop(context.enb_ue_id, None)
-        if context.imsi:
-            self._by_imsi.pop(context.imsi, None)
+        self._release_ue(context)
 
     # -- introspection -----------------------------------------------------------
+    def stats(self) -> dict:
+        return {
+            "attaches_completed": self.attaches_completed,
+            "attaches_rejected": self.attaches_rejected,
+            "contexts_active": len(self.contexts),
+            "accept_retransmissions": self.accept_retransmissions,
+            "accept_give_ups": self.accept_give_ups,
+        }
+
     def context_for_imsi(self, imsi: str) -> Optional[UeContext]:
         ue_id = self._by_imsi.get(imsi)
         return self.contexts.get(ue_id) if ue_id is not None else None
