@@ -11,21 +11,25 @@ import pytest
 from repro.core import (
     Brokerd,
     CellBricksAgw,
+    CellBricksAmf,
     CellBricksUe,
+    CellBricksUe5G,
     QosCapabilities,
     QosInfo,
     UeSapCredentials,
 )
 from repro.crypto import CertificateAuthority
 from repro.crypto.keypool import pooled_keypair
+from repro.fivegc import Gnb, Smf
 from repro.lte import ENodeB
 from repro.net import Host, Link, Simulator
 
 SIG_BW = 1e9
 
 
-def build_shared_cell(broker_count=2, ues_per_broker=2):
-    """One bTelco site; N brokers each with M subscribers."""
+def build_shared_cell(broker_count=2, ues_per_broker=2, rat="lte"):
+    """One bTelco site; N brokers each with M subscribers.  On 5G the
+    site is a gNB + CellBricks AMF with its SMF on a separate host."""
     sim = Simulator()
     ca = CertificateAuthority(key=pooled_keypair(860))
 
@@ -38,12 +42,29 @@ def build_shared_cell(broker_count=2, ues_per_broker=2):
 
     telco_key = pooled_keypair(861)
     certificate = ca.issue("shared-cell", "btelco", telco_key.public_key)
-    agw = CellBricksAgw(agw_host, broker_ip="", id_t="shared-cell",
-                        key=telco_key, certificate=certificate,
-                        ca_public_key=ca.public_key,
-                        qos_capabilities=QosCapabilities(
-                            supported_qcis=(8, 9)))
-    enb = ENodeB(enb_host, agw_ip=agw_host.address)
+    qos = QosCapabilities(supported_qcis=(8, 9))
+    if rat == "5g":
+        smf_host = Host(sim, "smf", address="10.252.0.1")
+        smf_link = Link(sim, "smf-link", agw_host, smf_host,
+                        bandwidth_bps=SIG_BW, delay_s=0.0001)
+        agw_host.add_route("10.252.0", smf_link)
+        smf_host.add_route("10.251.0", smf_link)
+        smf = Smf(smf_host)
+        agw = CellBricksAmf(agw_host, broker_ip="", smf_ip=smf_host.address,
+                            id_t="shared-cell", key=telco_key,
+                            certificate=certificate,
+                            ca_public_key=ca.public_key,
+                            qos_capabilities=qos)
+        enb = Gnb(enb_host, agw_ip=agw_host.address)
+        pool = smf.upf
+    else:
+        agw = CellBricksAgw(agw_host, broker_ip="", id_t="shared-cell",
+                            key=telco_key, certificate=certificate,
+                            ca_public_key=ca.public_key,
+                            qos_capabilities=qos)
+        enb = ENodeB(enb_host, agw_ip=agw_host.address)
+        pool = agw.spgw
+    ue_class = CellBricksUe5G if rat == "5g" else CellBricksUe
 
     brokers = []
     ues = []
@@ -72,16 +93,16 @@ def build_shared_cell(broker_count=2, ues_per_broker=2):
             credentials = UeSapCredentials(
                 id_u=subscriber, id_b=f"broker-{b}", ue_key=ue_key,
                 broker_public_key=brokerd.public_key)
-            ue = CellBricksUe(ue_host, enb_host.address, credentials,
-                              target_id_t="shared-cell",
-                              name=f"ue-{index}")
+            ue = ue_class(ue_host, enb_host.address, credentials,
+                          target_id_t="shared-cell", name=f"ue-{index}")
             ues.append((brokerd, ue))
-    return sim, agw, enb, brokers, ues
+    return sim, agw, enb, brokers, ues, pool
 
 
 class TestSharedCell:
-    def test_users_of_multiple_brokers_attach_to_one_cell(self):
-        sim, agw, enb, brokers, ues = build_shared_cell()
+    @pytest.mark.parametrize("rat", ["lte", "5g"])
+    def test_users_of_multiple_brokers_attach_to_one_cell(self, rat):
+        sim, agw, enb, brokers, ues, pool = build_shared_cell(rat=rat)
         results = []
         for offset, (brokerd, ue) in enumerate(ues):
             ue.on_attach_done = results.append
@@ -89,9 +110,14 @@ class TestSharedCell:
         sim.run(until=3.0)
         assert len(results) == len(ues)
         assert all(r.success for r in results)
+        if rat == "5g":
+            # 5G assigns the address with the PDU session.
+            for _, ue in ues:
+                ue.establish_session()
+            sim.run(until=4.0)
         # All four UEs hold addresses from the one shared cell's pool.
-        assert agw.spgw.active_count == len(ues)
-        ips = {r.ue_ip for r in results}
+        assert pool.active_count == len(ues)
+        ips = {ue.ue_ip for _, ue in ues}
         assert len(ips) == len(ues)
         assert all(ip.startswith("10.128.0.") for ip in ips)
         # Each broker authorized exactly its own subscribers.
@@ -99,7 +125,7 @@ class TestSharedCell:
             assert brokerd.requests_approved == 2
 
     def test_per_broker_qos_applied_on_shared_cell(self):
-        sim, agw, enb, brokers, ues = build_shared_cell()
+        sim, agw, enb, brokers, ues, _ = build_shared_cell()
         # Broker 0 sells premium (QCI 8 / 50 Mbps), broker 1 budget.
         for subscriber in brokers[0].sap.subscribers.values():
             subscriber.qos_plan = QosInfo(qci=8, ambr_dl_bps=50e6,
