@@ -3,8 +3,11 @@
 * :mod:`repro.core.sap` / :mod:`repro.core.messages` — the Secure
   Attachment Protocol (Fig 2/3),
 * :mod:`repro.core.broker` — brokerd (SubscriberDB + SAP + billing),
-* :mod:`repro.core.btelco` — the CellBricks-enabled AGW,
-* :mod:`repro.core.ue_agent` — the CellBricks UE,
+* :mod:`repro.core.sap_control` — the RAT-generic SAP bTelco site and
+  UE, shared by LTE and 5G,
+* :mod:`repro.core.btelco` / :mod:`repro.core.btelco5g` — the
+  CellBricks-enabled AGW and AMF (RAT adapters),
+* :mod:`repro.core.ue_agent` — the CellBricks LTE UE (RAT adapter),
 * :mod:`repro.core.billing` / :mod:`repro.core.reputation` — verifiable
   billing and the Fig 5 reputation heuristics,
 * :mod:`repro.core.qos` — qosCap/qosInfo negotiation,
