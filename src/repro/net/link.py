@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .packet import Packet
@@ -185,33 +186,35 @@ class SimplexLink:
     # -- data path --------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link.  Returns False if dropped at entry."""
-        self.stats.sent_packets += 1
-        self.stats.sent_bytes += packet.size
+        stats = self.stats
+        size = packet.size
+        stats.sent_packets += 1
+        stats.sent_bytes += size
         if not self.up:
-            self.stats.dropped_down += 1
+            stats.dropped_down += 1
             return False
         if self.loss_rate and self.rng.random() < self.loss_rate:
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             return False
-        if self._queued_bytes + packet.size > self.queue_limit_bytes:
-            self.stats.dropped_queue += 1
+        if self._queued_bytes + size > self.queue_limit_bytes:
+            stats.dropped_queue += 1
             return False
 
-        now = self.sim.now
-        start = max(now, self._busy_until)
+        sim = self.sim
+        start = sim._now
+        if self._busy_until > start:
+            start = self._busy_until
         if self.shaper is not None:
-            conform_wait = self.shaper.delay_until_conforming(packet.size, start)
+            conform_wait = self.shaper.delay_until_conforming(size, start)
             if self.police and conform_wait > 0:
-                self.stats.dropped_police += 1
+                stats.dropped_police += 1
                 return False
             start += conform_wait
-            self.shaper.consume(packet.size, start)
-        serialization = packet.size * 8.0 / self.bandwidth_bps
-        self._busy_until = start + serialization
-        self._queued_bytes += packet.size
-        arrival = self._busy_until + self.delay_s
-        event = self.sim.schedule_at(arrival, self._deliver, packet)
-        self._in_flight[packet.packet_id] = event
+            self.shaper.consume(size, start)
+        self._busy_until = busy = start + size * 8.0 / self.bandwidth_bps
+        self._queued_bytes += size
+        self._in_flight[packet.packet_id] = sim.schedule_at(
+            busy + self.delay_s, self._deliver, packet)
         return True
 
     def flush(self) -> None:
@@ -228,7 +231,7 @@ class SimplexLink:
         self._busy_until = self.sim.now
 
     def _deliver(self, packet: Packet) -> None:
-        if self.sim.now < self._paused_until:
+        if self.sim._now < self._paused_until:
             # Re-queue at pause end; FIFO order is preserved because
             # same-time events run in scheduling order.
             event = self.sim.schedule_at(self._paused_until, self._deliver,
@@ -241,10 +244,12 @@ class SimplexLink:
             # The link went down while the packet was in flight.
             self.stats.dropped_down += 1
             return
-        self.stats.delivered_packets += 1
-        self.stats.delivered_bytes += packet.size
-        if self.receiver is not None:
-            self.receiver(packet)
+        stats = self.stats
+        stats.delivered_packets += 1
+        stats.delivered_bytes += packet.size
+        receiver = self.receiver
+        if receiver is not None:
+            receiver(packet)
 
     @property
     def queued_bytes(self) -> int:
@@ -283,8 +288,9 @@ class Link:
         self.name = name
         self.a = a
         self.b = b
-        self.a_to_b.receiver = lambda packet: b.receive(packet, self)
-        self.b_to_a.receiver = lambda packet: a.receive(packet, self)
+        # partial runs in C: one Python frame less per delivered packet.
+        self.a_to_b.receiver = partial(b.receive, link=self)
+        self.b_to_a.receiver = partial(a.receive, link=self)
         a.attach_link(self)
         b.attach_link(self)
 

@@ -126,18 +126,21 @@ class Host(Node):
         """Send via the routed link, defaulting to the first attached."""
         if not self.links:
             return False
-        packet.created_at = self.sim.now
-        link = self._routes.get(packet.dst.rsplit(".", 1)[0], self.links[0])
-        return link.send_from(self, packet)
+        packet.created_at = self.sim._now
+        link = self.links[0]
+        if self._routes:
+            link = self._routes.get(packet.dst.rsplit(".", 1)[0], link)
+        half = link.a_to_b if link.a is self else link.half_from(self)
+        return half.send(packet)
 
     def receive(self, packet: Packet, link: Link) -> None:
-        if packet.dst != self.address or not self.has_address:
+        if packet.dst != self.address or self.address == UNSPECIFIED:
             return  # not ours (stale address after a handover) - drop
         segment = packet.payload
         src_port = getattr(segment, "src_port", 0)
         dst_port = getattr(segment, "dst_port", 0)
-        key = FlowKey(packet.dst, dst_port, packet.src, src_port)
-        endpoint = self._flows.get(key)
+        endpoint = self._flows.get(
+            (packet.dst, dst_port, packet.src, src_port))
         if endpoint is None:
             endpoint = self._listeners.get((packet.protocol, dst_port))
         if endpoint is not None:
@@ -178,17 +181,18 @@ class Router(Node):
         if packet.ttl <= 0:
             self.dropped += 1
             return
-        out = self.route_for(packet.dst)
+        out = self.routes.get(packet.dst.rsplit(".", 1)[0],
+                              self.default_route)
         if out is None or out is link:
             self.dropped += 1
             return
+        half = out.a_to_b if out.a is self else out.half_from(self)
         forwarded = packet.copy_for_forwarding()
         self.forwarded += 1
         if self.forwarding_delay_s:
-            self.sim.schedule(self.forwarding_delay_s,
-                              out.send_from, self, forwarded)
+            self.sim.schedule(self.forwarding_delay_s, half.send, forwarded)
         else:
-            out.send_from(self, forwarded)
+            half.send(forwarded)
 
     def send_packet(self, packet: Packet) -> bool:
         """Originate a packet from this router (used by in-network agents)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 # Protocol numbers (mirroring IANA where it helps readability).
 PROTO_UDP = 17
@@ -72,9 +72,13 @@ class Packet:
                 f"proto={self.protocol} {self.size}B>")
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Demultiplexing key for a transport endpoint."""
+class FlowKey(NamedTuple):
+    """Demultiplexing key for a transport endpoint.
+
+    A plain tuple underneath, so :meth:`Host.receive` can look flows up
+    with a bare ``(local_ip, local_port, remote_ip, remote_port)`` tuple
+    and hash it in C.
+    """
 
     local_ip: str
     local_port: int

@@ -11,19 +11,29 @@ UEs, see ``repro.testbed.megaload``):
 
 * Cancellation is *lazy* — ``Event.cancel`` flags the entry, and the run
   loop discards it when popped.  At population scale the dominant event
-  pattern is restartable timers (every ``Timer.start`` cancels the
-  previous deadline), so the heap would otherwise fill with dead
-  entries and every push/pop would pay ``O(log garbage)``.  The
+  pattern is cancel-and-reschedule (idle timers, broker flush windows),
+  so the heap would otherwise fill with dead entries and every push/pop
+  would pay ``O(log garbage)``.  The
   simulator therefore counts dead entries and compacts the heap when
   they outnumber the live ones.
-* ``pending()`` is O(1): live events are counted at schedule/cancel/run
-  time instead of scanning the queue.
+* ``pending()`` is O(1): the queue length minus the cancelled entries
+  still in it, which are counted at cancel and pop time.
+* Heap entries are ``(time, seq, event)`` tuples, so the heap orders
+  them with C tuple comparison instead of a Python ``__lt__`` per
+  sift step.  ``seq`` is unique, so the event itself is never compared.
+* :class:`Timer` re-arms lazily (Linux ``mod_timer`` style): a restart
+  to a deadline no earlier than the current one rewrites the queued
+  event's ``(time, seq)`` instead of cancelling it and pushing a fresh
+  entry.  The stale heap entry no longer matches its event; when it
+  reaches the head of the queue the run loop pushes it again under the
+  event's current key, without running it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from array import array
 from typing import Any, Callable, Optional
 
@@ -38,7 +48,8 @@ class Event:
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
 
     def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: tuple):
+                 callback: Callable[..., Any], args: tuple,
+                 sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -46,8 +57,8 @@ class Event:
         self.cancelled = False
         #: owning simulator while the entry is still queued; detached
         #: (None) once the event has run or been discarded, so a late
-        #: ``cancel`` on a stale handle cannot skew the live counters.
-        self.sim: Optional["Simulator"] = None
+        #: ``cancel`` on a stale handle cannot skew the dead count.
+        self.sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly."""
@@ -57,9 +68,6 @@ class Event:
         sim = self.sim
         if sim is not None:
             sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -75,16 +83,18 @@ class Simulator:
     """A deterministic event loop with a virtual clock (seconds)."""
 
     def __init__(self, compaction: bool = True):
-        self._queue: list[Event] = []
+        #: heap of ``(time, seq, event)``; an entry whose ``seq`` differs
+        #: from ``event.seq`` is stale (its Timer was re-armed later).
+        self._queue: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._running = False
-        self._live = 0          # queued events that are not cancelled
         self._dead = 0          # cancelled events still in the heap
         #: lazy-compaction switch; benches flip it off to measure the
         #: pre-compaction event core.
         self.compaction = compaction
         # -- engine statistics (read by the megaload bench) --------------
+        #: heap pushes: a lazy Timer restart adds none, a re-push one.
         self.events_scheduled = 0
         self.compactions = 0
         self.peak_queue = 0
@@ -107,11 +117,10 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now is {self._now})")
-        event = Event(time, next(self._counter), callback, args)
-        event.sim = self
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, self)
         queue = self._queue
-        heapq.heappush(queue, event)
-        self._live += 1
+        heapq.heappush(queue, (time, seq, event))
         self.events_scheduled += 1
         if len(queue) > self.peak_queue:
             self.peak_queue = len(queue)
@@ -120,10 +129,10 @@ class Simulator:
     def _note_cancelled(self) -> None:
         """A queued event was cancelled: keep the counters exact and
         compact the heap once dead entries dominate the live ones."""
-        self._live -= 1
         self._dead += 1
-        if (self.compaction and self._dead > self._live
-                and len(self._queue) >= _COMPACT_MIN_QUEUE):
+        queued = len(self._queue)
+        if (self.compaction and 2 * self._dead > queued
+                and queued >= _COMPACT_MIN_QUEUE):
             self._compact()
 
     def _compact(self) -> None:
@@ -132,7 +141,8 @@ class Simulator:
         Amortized O(1) per cancellation: a compaction costs O(n) but only
         runs after >= n/2 cancellations accumulated.
         """
-        survivors = [event for event in self._queue if not event.cancelled]
+        survivors = [entry for entry in self._queue
+                     if not entry[2].cancelled]
         self._queue = survivors
         heapq.heapify(survivors)
         self._dead = 0
@@ -143,31 +153,40 @@ class Simulator:
         """Process events until the queue drains, ``until`` is reached, or
         ``max_events`` have run.  Returns the number of events processed.
 
-        When ``until`` is given the clock is advanced to exactly ``until``
-        even if the queue drained earlier, so back-to-back ``run`` calls
-        compose naturally.
+        When ``until`` is given and no live event at or before it is left
+        queued, the clock is advanced to exactly ``until`` even if the
+        queue drained earlier, so back-to-back ``run`` calls compose
+        naturally.  A run cut short by ``max_events`` leaves the clock at
+        the last event it ran, so it never moves backwards.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         processed = 0
+        cut_short = False
+        horizon = math.inf if until is None else until
         queue = self._queue
         pop = heapq.heappop
         try:
             while queue:
-                event = queue[0]
+                time, seq, event = queue[0]
                 if event.cancelled:
                     pop(queue)
                     self._dead -= 1
                     continue
-                if until is not None and event.time > until:
+                if time > horizon:
                     break
+                if seq != event.seq:
+                    # A lazily re-armed Timer: requeue, do not run.
+                    heapq.heapreplace(queue, (event.time, event.seq, event))
+                    self.events_scheduled += 1
+                    continue
                 if max_events is not None and processed >= max_events:
+                    cut_short = True
                     break
                 pop(queue)
-                self._live -= 1
                 event.sim = None
-                self._now = event.time
+                self._now = time
                 event.callback(*event.args)
                 processed += 1
                 if queue is not self._queue:
@@ -175,21 +194,20 @@ class Simulator:
                     queue = self._queue
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and not cut_short and self._now < until:
             self._now = until
         return processed
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        return len(self._queue) - self._dead
 
     def clear(self) -> None:
         """Drop all queued events (used between experiment repetitions)."""
-        for event in self._queue:
+        for _, _, event in self._queue:
             event.cancelled = True
             event.sim = None
         self._queue.clear()
-        self._live = 0
         self._dead = 0
 
 
@@ -268,7 +286,17 @@ class TickCalendar:
 
 
 class Timer:
-    """A restartable one-shot timer (e.g. a TCP retransmission timer)."""
+    """A restartable one-shot timer (e.g. a TCP retransmission timer).
+
+    TCP restarts its retransmission timer on every ACK, almost always to a
+    later deadline.  Such a restart only rewrites the queued event's
+    ``(time, seq)``, taking ``seq`` from the simulator's counter exactly
+    as a fresh ``schedule`` would; the run loop re-pushes the stale heap
+    entry under that key when it surfaces.  Every event therefore runs
+    under the key that cancel-and-reschedule would have given it, in the
+    same order.  A restart to an earlier deadline, or
+    of a disarmed timer, cancels and schedules afresh.
+    """
 
     __slots__ = ("_sim", "_callback", "_event")
 
@@ -283,7 +311,15 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire after ``delay`` seconds."""
-        self.stop()
+        event = self._event
+        if event is not None and not event.cancelled:
+            sim = self._sim
+            deadline = sim._now + delay
+            if deadline >= event.time:
+                event.time = deadline
+                event.seq = next(sim._counter)
+                return
+            event.cancel()
         self._event = self._sim.schedule(delay, self._fire)
 
     def stop(self) -> None:

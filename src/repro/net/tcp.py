@@ -150,6 +150,9 @@ class TcpConnection:
         self._queued_bytes = 0
         self._sent_chunks: list[_SentChunk] = []
         self._pipe = 0  # incrementally-maintained bytes_in_flight
+        # Set when a chunk may be lost and not yet retransmitted; cleared
+        # by a full _try_transmit walk, so ACKs skip the chunk scan.
+        self._lost_pending = False
         self._fin_queued = False
         self._fin_sent = False
         self._rtx_timer = Timer(self.sim, self._on_rto)
@@ -283,14 +286,17 @@ class TcpConnection:
     def _try_transmit(self) -> None:
         if self.state != "ESTABLISHED":
             return
-        budget = self._window() - self.bytes_in_flight
+        budget = self._window() - self._pipe
         # Retransmissions of known-lost chunks take priority.
-        for chunk in self._sent_chunks:
-            if budget < chunk.length:
-                break
-            if chunk.lost and not chunk.retransmitted:
-                self._retransmit_chunk(chunk)
-                budget -= chunk.length
+        if self._lost_pending:
+            for chunk in self._sent_chunks:
+                if budget < chunk.length:
+                    break
+                if chunk.lost and not chunk.retransmitted:
+                    self._retransmit_chunk(chunk)
+                    budget -= chunk.length
+            else:
+                self._lost_pending = False
         while self._send_queue and budget >= min(self.mss,
                                                  self._send_queue[0][0]):
             remaining, meta = self._send_queue[0]
@@ -314,9 +320,10 @@ class TcpConnection:
 
     def _emit_data(self, seq: int, length: int, meta: object,
                    chunk: Optional[_SentChunk]) -> None:
+        now = self.sim._now
         segment = Segment(self.local_port, self.remote_port, seq,
                           self.rcv_nxt, ACK, payload_len=length, meta=meta,
-                          sent_at=self.sim.now)
+                          sent_at=now)
         packet = Packet(src=self.local_ip, dst=self.remote_ip,
                         protocol=PROTO_TCP, size=HEADER_OVERHEAD + length,
                         payload=segment)
@@ -325,7 +332,7 @@ class TcpConnection:
         self.stats.bytes_sent += length
         if chunk is None:
             self._sent_chunks.append(
-                _SentChunk(seq, length, self.sim.now, meta=meta))
+                _SentChunk(seq, length, now, meta=meta))
             self._pipe += length
         if not self._rtx_timer.armed:
             self._rtx_timer.start(self.rto)
@@ -366,7 +373,7 @@ class TcpConnection:
     def _send_ack(self) -> None:
         segment = Segment(self.local_port, self.remote_port, self.snd_nxt,
                           self.rcv_nxt, ACK, sack=self._sack_ranges(),
-                          sent_at=self.sim.now)
+                          sent_at=self.sim._now)
         packet = Packet(src=self.local_ip, dst=self.remote_ip,
                         protocol=PROTO_TCP, size=HEADER_OVERHEAD,
                         payload=segment)
@@ -438,15 +445,21 @@ class TcpConnection:
         ack = segment.ack
         newly_acked = 0
         acked_chunks: list[_SentChunk] = []
+        fin_acked = False
         if ack > self.snd_una:
             newly_acked = ack - self.snd_una
             self.snd_una = ack
             acked_chunks = self._pop_acked_chunks(ack)
+            now = self.sim._now
+            acked_bytes = 0
             for chunk in acked_chunks:
                 if not chunk.retransmitted and not chunk.sacked:
-                    self._sample_rtt(self.sim.now - chunk.sent_at)
-            self.stats.bytes_acked += sum(
-                c.length for c in acked_chunks if not c.is_fin)
+                    self._sample_rtt(now - chunk.sent_at)
+                if chunk.is_fin:
+                    fin_acked = True
+                else:
+                    acked_bytes += chunk.length
+            self.stats.bytes_acked += acked_bytes
 
         # Apply SACK information.
         sacked_progress = self._apply_sack(segment.sack)
@@ -469,7 +482,7 @@ class TcpConnection:
                 self._rtx_timer.stop()
             if self.on_chunks_acked is not None and acked_chunks:
                 self.on_chunks_acked(acked_chunks)
-            if any(c.is_fin for c in acked_chunks):
+            if fin_acked:
                 self._on_fin_acked()
 
         if newly_acked or sacked_progress or newly_lost:
@@ -542,6 +555,8 @@ class TcpConnection:
                     self._pipe -= chunk.length
                 chunk.lost = True
                 newly = True
+        if newly:
+            self._lost_pending = True
         return newly
 
     def _grow_cwnd(self, acked_bytes: int) -> None:
@@ -589,6 +604,7 @@ class TcpConnection:
             if not chunk.sacked:
                 chunk.lost = True
                 chunk.retransmitted = False
+        self._lost_pending = True
         self._recompute_pipe()
         self._try_transmit()
         self._rtx_timer.start(self.rto)

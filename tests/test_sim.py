@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.sim import SimulationError, Simulator, Timer
 
@@ -84,6 +86,26 @@ class TestRunControl:
         processed = sim.run(max_events=3)
         assert processed == 3
         assert ran == [0, 1, 2]
+
+    def test_max_events_never_moves_the_clock_backwards(self):
+        sim = Simulator()
+        ran = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: ran.append(sim.now))
+        assert sim.run(until=10.0, max_events=1) == 1
+        # Live events before ``until`` are still queued: the clock stays
+        # at the last event run instead of jumping to 10.
+        assert sim.now == 1.0
+        sim.run(until=10.0)
+        assert ran == [1.0, 2.0, 3.0]
+        assert sim.now == 10.0
+
+    def test_max_events_advances_when_nothing_is_left_before_until(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        assert sim.run(until=10.0, max_events=1) == 1
+        assert sim.now == 10.0
 
     def test_cancelled_events_do_not_run(self):
         sim = Simulator()
@@ -238,6 +260,146 @@ class TestTimer:
         assert timer.armed
         sim.run()
         assert not timer.armed
+
+    def test_later_restart_pushes_nothing_until_the_stale_entry_surfaces(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        for t in (0.2, 0.4, 0.6):
+            sim.schedule(t, timer.start, 1.0)
+        pushes = sim.events_scheduled
+        sim.run(until=0.7)
+        # Three restarts, each to a later deadline: no heap push.
+        assert sim.events_scheduled == pushes
+        assert sim.pending() == 1
+        sim.run()
+        # The entry queued for 1.0 surfaced once and was pushed again.
+        assert sim.events_scheduled == pushes + 1
+        assert fired == [1.6]
+
+    def test_restart_to_an_earlier_deadline_fires_early(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(5.0)
+        sim.schedule(1.0, timer.start, 1.0)
+        sim.run()
+        assert fired == [2.0]
+
+    def test_stop_after_lazy_restart_prevents_firing(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        sim.schedule(0.5, timer.start, 1.0)
+        sim.schedule(1.2, timer.stop)
+        sim.run()
+        assert fired == []
+        assert sim.pending() == 0
+
+    def test_start_after_clear_rearms(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        sim.clear()
+        assert not timer.armed
+        timer.start(2.0)
+        sim.run()
+        assert fired == [2.0]
+
+
+class _EagerTimer:
+    """Reference timer: every ``start`` cancels and schedules afresh."""
+
+    def __init__(self, sim, callback):
+        self._sim = sim
+        self._callback = callback
+        self._event = None
+
+    def start(self, delay):
+        self.stop()
+        self._event = self._sim.schedule(delay, self._fire)
+
+    def stop(self):
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self):
+        self._event = None
+        self._callback()
+
+
+#: one scripted step: (time on a 0.5 s grid, timer index, op, delay).
+_STEP = st.tuples(st.integers(0, 16), st.integers(0, 1),
+                  st.sampled_from(["start", "start", "start", "stop",
+                                   "tie"]),
+                  st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+
+
+def _replay(timer_cls, steps, rearms, compact_at, split_at):
+    """Run a timer script; the log of every callback with its clock."""
+    sim = Simulator()
+    log = []
+    deadlines = [None, None]
+    rearms = [list(rearms), list(rearms)]
+
+    def start(i, delay):
+        timers[i].start(delay)
+        deadlines[i] = sim.now + delay
+
+    def fire(i):
+        log.append(("fire", i, sim.now))
+        deadlines[i] = None
+        if rearms[i]:
+            delay = rearms[i].pop(0)
+            if delay is not None:
+                start(i, delay)   # restart from inside its own callback
+
+    def step(k, i, op, delay):
+        log.append((op, k, i, sim.now))
+        if op == "start":
+            start(i, delay)
+        elif op == "stop":
+            timers[i].stop()
+            deadlines[i] = None
+        elif deadlines[i] is not None:
+            # Another event at exactly the timer's current deadline.
+            sim.schedule_at(deadlines[i], log.append, ("tie", k, i))
+
+    timers = [timer_cls(sim, lambda i=i: fire(i)) for i in range(2)]
+    fillers = [sim.schedule(1000.0 + n, log.append, ("filler", n))
+               for n in range(600)]
+    sim.schedule_at(compact_at * 0.5,
+                    lambda: [event.cancel() for event in fillers])
+    for k, (at, i, op, delay) in enumerate(steps):
+        sim.schedule_at(at * 0.5, step, k, i, op, delay)
+    sim.run(until=split_at * 0.5)
+    log.append(("split", sim.now, sim.pending()))
+    sim.run()
+    log.append(("end", sim.now, sim.pending()))
+    return log, sim.compactions
+
+
+class TestTimerDifferential:
+    """The lazy re-arm must be indistinguishable from cancel-and-reschedule:
+    same callbacks, in the same order, at the same clock values."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(steps=st.lists(_STEP, min_size=1, max_size=25),
+           rearms=st.lists(st.one_of(st.none(),
+                                     st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+                           max_size=4),
+           compact_at=st.integers(0, 16), split_at=st.integers(0, 16))
+    def test_lazy_timer_matches_eager_reference(self, steps, rearms,
+                                                 compact_at, split_at):
+        lazy, compactions = _replay(Timer, steps, rearms, compact_at,
+                                    split_at)
+        eager, _ = _replay(_EagerTimer, steps, rearms, compact_at, split_at)
+        assert lazy == eager
+        assert compactions >= 1
 
 
 class TestTickCalendar:

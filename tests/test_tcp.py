@@ -233,6 +233,61 @@ class TestCongestionControl:
         assert client.srtt == pytest.approx(0.1, rel=0.5)
 
 
+class TestLossRecoveryBookkeeping:
+    """SACK recovery and RTOs on a lossy path, with the sender's pipe and
+    lost-chunk bookkeeping checked after every ACK and transmit pass."""
+
+    @staticmethod
+    def _stranded(conn, budget):
+        """A lost, not-yet-retransmitted chunk that the retransmission walk
+        of ``_try_transmit`` would have sent with ``budget`` bytes."""
+        for chunk in conn._sent_chunks:
+            if budget < chunk.length:
+                return None
+            if chunk.lost and not chunk.retransmitted:
+                return chunk
+        return None
+
+    def test_lossy_transfer_through_fast_recovery_and_rto(self):
+        sim = Simulator()
+        a, b = make_pair(sim, bandwidth=5e6, delay=0.02, loss=0.03)
+        sink = ServerSink(b)
+        client = TcpConnection(a, "10.0.0.2", 80)
+        client.on_established = lambda: client.send(2_000_000)
+        acks = []
+        process_ack = client._process_ack
+        try_transmit = client._try_transmit
+
+        def checked_process_ack(segment):
+            process_ack(segment)
+            pipe = client.bytes_in_flight
+            assert pipe == client._recompute_pipe()
+            acks.append(sim.now)
+
+        def checked_try_transmit():
+            sent_before = client.snd_nxt
+            try_transmit()
+            if client.state != "ESTABLISHED":
+                return
+            # The room the retransmission walk had left once it finished:
+            # the window minus the pipe, plus the new data sent after it.
+            room = (min(client.cwnd, client.peer_window)
+                    - client.bytes_in_flight + client.snd_nxt - sent_before)
+            assert self._stranded(client, room) is None
+
+        client._process_ack = checked_process_ack
+        client._try_transmit = checked_try_transmit
+        client.connect()
+        sim.schedule(1.5, a.links[0].interrupt, 1.0)
+        sim.run(until=30.0)
+        assert len(acks) > 1000
+        assert sink.received == 2_000_000
+        # Recorded before the lost-chunk flag replaced the per-ACK scan.
+        assert client.stats.retransmissions == 49
+        assert client.stats.timeouts == 4
+        assert client.stats.fast_retransmits == 36
+
+
 class TestClose:
     def test_graceful_close_after_transfer(self):
         sim = Simulator()
