@@ -1,7 +1,5 @@
 """Unit + property tests for verifiable billing and the reputation system."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,17 +15,22 @@ from repro.core.billing import (
 from repro.core.qos import QosInfo
 from repro.core.reputation import ReputationSystem
 from repro.core.sap import SapGrant
-from repro.crypto import generate_keypair
+from repro.crypto.keypool import pooled_keypair
+
+
+def billing_keys():
+    """The broker, UE and bTelco keys (keypool slots 9514-9516; slots
+    9514-9517 are reserved for this module)."""
+    return {
+        "broker": pooled_keypair(9514),
+        "ue": pooled_keypair(9515),
+        "telco": pooled_keypair(9516),
+    }
 
 
 @pytest.fixture(scope="module")
 def keys():
-    rng = random.Random(0xB111)
-    return {
-        "broker": generate_keypair(rng=rng),
-        "ue": generate_keypair(rng=rng),
-        "telco": generate_keypair(rng=rng),
-    }
+    return billing_keys()
 
 
 def make_grant(session_id="s-1"):
@@ -73,7 +76,7 @@ class TestReportCrypto:
 
     def test_wrong_signature_rejected(self, keys):
         verifier, grant = make_verifier(keys)
-        mallory = generate_keypair(rng=random.Random(1))
+        mallory = pooled_keypair(9517)
         upload = make_upload(report(), REPORTER_UE, mallory,
                              keys["broker"].public_key)
         assert not verifier.ingest(upload, now=30.0)

@@ -2,8 +2,6 @@
 equivalence + determinism, throughput acceptance, SMF pool release, and
 billing archival."""
 
-import random
-
 import pytest
 
 from repro.core.billing import ArchivedLedger, BillingError
@@ -21,19 +19,20 @@ from repro.core.sap import (
 from repro.crypto import (
     CertificateAuthority,
     clear_verify_cache,
-    generate_keypair,
     verify_cache_stats,
 )
+from repro.crypto.keypool import pooled_keypair
 from repro.obs import Obs, spans_to_jsonl
 
 
 @pytest.fixture(scope="module")
 def world():
-    rng = random.Random(0x5CA1E)
-    ca = CertificateAuthority(key=generate_keypair(rng=rng))
-    broker_key = generate_keypair(rng=rng)
-    telco_key = generate_keypair(rng=rng)
-    ue_key = generate_keypair(rng=rng)
+    """Keys from keypool slots 9509-9512 (9509-9513 are reserved for
+    this module)."""
+    ca = CertificateAuthority(key=pooled_keypair(9509))
+    broker_key = pooled_keypair(9510)
+    telco_key = pooled_keypair(9511)
+    ue_key = pooled_keypair(9512)
     telco_cert = ca.issue("t1.example", "btelco", telco_key.public_key)
     telco = BtelcoSap(BtelcoSapConfig(
         id_t="t1.example", key=telco_key, certificate=telco_cert,
@@ -163,7 +162,7 @@ class TestRebalance:
 class TestVerifyCache:
     def test_verify_cache_hits_and_clear(self, world):
         clear_verify_cache()
-        key = generate_keypair(rng=random.Random(0xCAC4E))
+        key = pooled_keypair(9513)
         signature = key.sign(b"message")
         assert key.public_key.verify(b"message", signature)
         before = verify_cache_stats()["hits"]
@@ -277,11 +276,8 @@ class TestSmfPoolRelease:
 class TestBillingArchive:
     def _settled_verifier(self):
         from tests.test_billing import (  # reuse the billing fixtures
-            make_verifier, upload_pair)
-        rng = random.Random(0xB111)
-        keys = {"broker": generate_keypair(rng=rng),
-                "ue": generate_keypair(rng=rng),
-                "telco": generate_keypair(rng=rng)}
+            billing_keys, make_verifier, upload_pair)
+        keys = billing_keys()
         verifier, grant = make_verifier(keys)
         upload_pair(verifier, keys, ue_dl=1_000_000, t_dl=1_000_000)
         return verifier, grant

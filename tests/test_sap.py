@@ -1,7 +1,5 @@
 """Unit tests for the SAP protocol procedures (Fig 2 / Fig 3)."""
 
-import random
-
 import pytest
 
 from repro.core.messages import AuthVec, MessageError
@@ -15,18 +13,18 @@ from repro.core.sap import (
     UeSap,
     UeSapCredentials,
 )
-from repro.crypto import CertificateAuthority, generate_keypair
+from repro.crypto import CertificateAuthority
+from repro.crypto.keypool import pooled_keypair
 
 
 @pytest.fixture(scope="module")
 def world():
-    """A CA, a broker, a bTelco, and an enrolled UE (module-scoped: RSA
-    keygen is the slow part)."""
-    rng = random.Random(0x5A9)
-    ca = CertificateAuthority(key=generate_keypair(rng=rng))
-    broker_key = generate_keypair(rng=rng)
-    telco_key = generate_keypair(rng=rng)
-    ue_key = generate_keypair(rng=rng)
+    """A CA, a broker, a bTelco, and an enrolled UE.  Keys come from
+    keypool slots 9500-9508, reserved for this module."""
+    ca = CertificateAuthority(key=pooled_keypair(9500))
+    broker_key = pooled_keypair(9501)
+    telco_key = pooled_keypair(9502)
+    ue_key = pooled_keypair(9503)
     telco_cert = ca.issue("t1.example", "btelco", telco_key.public_key)
 
     broker = BrokerSap(id_b="b.example", key=broker_key,
@@ -93,7 +91,7 @@ class TestUeChecks:
     def test_ue_rejects_response_signed_by_wrong_key(self, world):
         from repro.core.messages import seal_and_sign
         from repro.core.messages import AuthRespU
-        mallory = generate_keypair(rng=random.Random(99))
+        mallory = pooled_keypair(9504)
         ue = UeSap(world["creds"])
         ue.craft_request("t1.example")
         forged = seal_and_sign(
@@ -127,7 +125,7 @@ class TestBrokerChecks:
     def test_unknown_subscriber_denied(self, world):
         creds = UeSapCredentials(
             id_u="mallory", id_b="b.example",
-            ue_key=generate_keypair(rng=random.Random(1)),
+            ue_key=pooled_keypair(9505),
             broker_public_key=world["broker_key"].public_key)
         req_u = UeSap(creds).craft_request("t1.example")
         req_t = world["telco"].augment_request(req_u)
@@ -182,7 +180,7 @@ class TestBrokerChecks:
             world["broker"].process_request(tampered, now=11.0)
 
     def test_expired_btelco_certificate_denied(self, world):
-        key = generate_keypair(rng=random.Random(5))
+        key = pooled_keypair(9506)
         cert = world["ca"].issue("t2.example", "btelco", key.public_key,
                                  not_before=0.0, not_after=5.0)
         telco = BtelcoSap(BtelcoSapConfig(
@@ -236,7 +234,7 @@ class TestBrokerChecks:
 
 class TestBtelcoChecks:
     def test_authorization_for_other_btelco_rejected(self, world):
-        key2 = generate_keypair(rng=random.Random(6))
+        key2 = pooled_keypair(9507)
         cert2 = world["ca"].issue("t2.example", "btelco", key2.public_key)
         telco2 = BtelcoSap(BtelcoSapConfig(
             id_t="t2.example", key=key2, certificate=cert2,
@@ -256,7 +254,7 @@ class TestBtelcoChecks:
 
     def test_wrong_broker_key_rejected(self, world):
         *_, sealed_t, _, _ = full_run(world)
-        mallory = generate_keypair(rng=random.Random(42))
+        mallory = pooled_keypair(9508)
         with pytest.raises(SapError, match="signature"):
             world["telco"].process_authorization(
                 sealed_t, mallory.public_key, None, now=10.0)

@@ -5,8 +5,6 @@ asserts the defense holds: IMSI catching, request relaying, authorization
 theft, report forgery/replay, and key revocation.
 """
 
-import random
-
 import pytest
 
 from repro.core.billing import (
@@ -27,7 +25,7 @@ from repro.core.sap import (
     UeSap,
     UeSapCredentials,
 )
-from repro.crypto import CertificateAuthority, CryptoError, generate_keypair
+from repro.crypto import CertificateAuthority, CryptoError
 from repro.crypto.keypool import pooled_keypair
 from repro.lte.security import SecurityContext, SecurityError
 from repro.net import Simulator
@@ -92,7 +90,8 @@ class TestAuthorizationTheft:
             mallory_ctx.unprotect_downlink(protected)
 
     def test_authorization_not_transferable_between_btelcos(self, world):
-        key2 = generate_keypair(rng=random.Random(77))
+        # keypool slots 9518-9521 are reserved for this module.
+        key2 = pooled_keypair(9518)
         cert2 = world["ca"].issue("t2", "btelco", key2.public_key)
         telco2 = BtelcoSap(BtelcoSapConfig(
             id_t="t2", key=key2, certificate=cert2,
@@ -109,9 +108,8 @@ class TestRogueBtelco:
     def test_self_signed_btelco_rejected(self, world):
         """A bTelco without a CA-signed certificate cannot get service
         authorized — the zero-pre-agreement model still needs the PKI."""
-        rogue_key = generate_keypair(rng=random.Random(88))
-        rogue_ca = CertificateAuthority(key=generate_keypair(
-            rng=random.Random(89)))
+        rogue_key = pooled_keypair(9519)
+        rogue_ca = CertificateAuthority(key=pooled_keypair(9520))
         rogue_cert = rogue_ca.issue("evil", "btelco", rogue_key.public_key)
         rogue = BtelcoSap(BtelcoSapConfig(
             id_t="evil", key=rogue_key, certificate=rogue_cert,
@@ -124,7 +122,7 @@ class TestRogueBtelco:
     def test_btelco_with_broker_role_cert_rejected(self, world):
         """Role confusion: a *broker* certificate cannot authorize
         bTelco service."""
-        key = generate_keypair(rng=random.Random(90))
+        key = pooled_keypair(9521)
         cert = world["ca"].issue("not-a-telco", "broker", key.public_key)
         confused = BtelcoSap(BtelcoSapConfig(
             id_t="not-a-telco", key=key, certificate=cert,

@@ -1,13 +1,15 @@
-"""Deterministic work counters on the packet data path.
+"""Deterministic work counters on the packet data path and in key set-up.
 
 Wall-clock speed depends on the machine; the work done per simulated
 packet does not.  These gates pin it on a short seeded drive, so a change
 that brings back per-ACK heap churn (for instance a retransmission timer
 that cancels and pushes a fresh heap entry on every ACK) fails here on any
-machine.
+machine.  Likewise the number of RSA prime searches a control-plane
+set-up runs: its pool keys come from the committed fixture.
 """
 
 from repro.apps import KIND_MPTCP, KIND_TCP, IperfClient, IperfServer
+from repro.crypto import keypool, rsa
 from repro.emulation import EmulationConfig, HandoverEvent, PairedEmulation
 from repro.net import Simulator
 
@@ -59,3 +61,25 @@ def test_events_scheduled_per_delivered_packet():
                for t, _ in mptcp.stats.deliveries)
     assert delivered == DELIVERED_PACKETS
     assert sim.events_scheduled / delivered <= MAX_EVENTS_PER_PACKET
+
+
+#: keypool slots of the perfbench ``attach_lte`` scenario (CA, broker,
+#: UE, 16 sites) and of ``repro.testbed.broker_scale`` (the same shape).
+ATTACH_LTE_SLOTS = range(9900, 9919)
+BROKER_SCALE_SLOTS = range(9300, 9319)
+
+
+def test_warming_control_plane_slots_generates_no_keys(monkeypatch):
+    calls = []
+    real = rsa.generate_keypair
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("rng"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rsa, "generate_keypair", counting)
+    monkeypatch.setattr(keypool, "generate_keypair", counting)
+    monkeypatch.setattr(keypool, "_POOL", {})
+    keys = keypool.warm([*ATTACH_LTE_SLOTS, *BROKER_SCALE_SLOTS])
+    assert len({key.n for key in keys}) == 38
+    assert calls == []
