@@ -71,9 +71,29 @@ def _canonical(obj: dict) -> bytes:
 
 def _parse(raw: bytes) -> dict:
     try:
-        return json.loads(raw.decode())
+        data = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MessageError(f"malformed SAP payload: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MessageError(
+            f"malformed SAP payload: {type(data).__name__}, not an object")
+    return data
+
+
+def _check_scope(scope) -> None:
+    """A scope request is absent or ``{"telcos": [str...], "ttl": n}``
+    (both keys optional); anything else would crash the mint."""
+    if scope is None:
+        return
+    if not isinstance(scope, dict):
+        raise TypeError("scope is not an object")
+    telcos = scope.get("telcos", [])
+    if not isinstance(telcos, list) \
+            or not all(isinstance(t, str) for t in telcos):
+        raise TypeError("scope telcos is not a list of strings")
+    ttl = scope.get("ttl", 0.0)
+    if isinstance(ttl, bool) or not isinstance(ttl, (int, float)):
+        raise TypeError("scope ttl is not a number")
 
 
 # -- authVec -----------------------------------------------------------------
@@ -109,10 +129,14 @@ class AuthVec:
     def from_bytes(cls, raw: bytes) -> "AuthVec":
         data = _parse(raw)
         try:
-            return cls(id_u=data["idU"], id_b=data["idB"], id_t=data["idT"],
+            ids = (data["idU"], data["idB"], data["idT"])
+            if not all(isinstance(value, str) for value in ids):
+                raise TypeError("identities must be strings")
+            _check_scope(data.get("scope"))
+            return cls(id_u=ids[0], id_b=ids[1], id_t=ids[2],
                        nonce=bytes.fromhex(data["n"]),
                        scope=data.get("scope"))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MessageError(f"bad authVec: {exc}") from exc
 
 
@@ -216,7 +240,7 @@ class AuthRespT:
                        ss=bytes.fromhex(data["ss"]), qos_info=qos,
                        session_id=data["sid"], expires_at=data["exp"],
                        lawful_intercept=data.get("li", False))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MessageError(f"bad authRespT: {exc}") from exc
 
 
@@ -257,7 +281,7 @@ class AuthRespU:
                        ss=bytes.fromhex(data["ss"]),
                        nonce=bytes.fromhex(data["n"]),
                        session_id=data["sid"], scope=scope)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MessageError(f"bad authRespU: {exc}") from exc
 
 

@@ -951,11 +951,17 @@ class BrokerSap:
             return cached
         return self.finish_request(self.prevalidate(request, now), now)
 
-    def prevalidate(self, request: AuthReqT, now: float) -> PreparedAuth:
+    def prevalidate(self, request: AuthReqT, now: float,
+                    auth_vec: Optional[AuthVec] = None) -> PreparedAuth:
         """Stage A: authenticate T and U, decrypt the authVec, and route
         to the owning shard.  Touches no shard state, so a batching
         daemon may run many prevalidations concurrently (denials are
-        counted here, exactly once per request)."""
+        counted here, exactly once per request).
+
+        ``auth_vec`` is the request's authVec if the caller already
+        unwrapped it with this broker's key (a shard frontend does, to
+        route); the unwrap is then skipped and every check after it
+        still runs."""
         try:
             # 1. Authenticate T: certificate chain + signature over the
             # request.
@@ -979,12 +985,8 @@ class BrokerSap:
                 request.t_certificate.public_key
 
             # 2. Decrypt authVec and authenticate U.
-            try:
-                auth_vec = AuthVec.from_bytes(
-                    self.key.decrypt(request.auth_req_u.auth_vec_encrypted))
-            except (CryptoError, MessageError) as exc:
-                raise SapError(f"authVec: {exc}",
-                               cause=DenialCause.MALFORMED) from exc
+            if auth_vec is None:
+                auth_vec = self.unwrap_auth_vec(request)
             if auth_vec.id_b != self.id_b:
                 self._deny(DenialCause.MISMATCH,
                            "authVec addressed to a different broker")
@@ -1011,6 +1013,16 @@ class BrokerSap:
                             digest=self._request_digest(request),
                             auth_vec=auth_vec, subscriber=subscriber,
                             shard_id=shard_id)
+
+    def unwrap_auth_vec(self, request: AuthReqT) -> AuthVec:
+        """Decrypt and decode the request's authVec (one RSA private
+        op); a :class:`SapError` with ``MALFORMED`` if that fails."""
+        try:
+            return AuthVec.from_bytes(
+                self.key.decrypt(request.auth_req_u.auth_vec_encrypted))
+        except (CryptoError, MessageError) as exc:
+            raise SapError(f"authVec: {exc}",
+                           cause=DenialCause.MALFORMED) from exc
 
     def finish_request(self, prepared: PreparedAuth, now: float
                        ) -> tuple[SealedResponse, SealedResponse, SapGrant]:

@@ -14,8 +14,9 @@ apply to the broker's own internals end-to-end:
   is lost and every datagram is dropped until ``restart()``.
 
 * :class:`ShardFrontend` — lives inside ``brokerd``: decrypts the
-  authVec just enough to route by the consistent-hash ring, forwards
-  auth requests to the owning shard host, health-checks every host with
+  authVec to route by the consistent-hash ring, forwards auth requests
+  with the decoded authVec to the owning shard host (which therefore
+  never unwraps it again), health-checks every host with
   heartbeat probes, and on a detected death promotes the warm replica.
   Between detection and promotion the shard is *degraded*: cached
   (retransmit-replay) responses are served from the replica and fresh
@@ -46,7 +47,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.crypto import CryptoError
 from repro.lte.signaling import CounterAttr, SignalingNode
 from repro.net import Host, Link
 
@@ -58,7 +58,6 @@ from .messages import (
     AuthVec,
     BrokerAuthResponse,
     DenialCause,
-    MessageError,
 )
 from .sap import BrokerSap, SapError, ShardRouter
 
@@ -80,11 +79,17 @@ class ShardAuthRequest:
     ``replay_only`` marks a forward to an unpromoted standby during
     degraded mode: it may serve the replicated idempotency cache but
     must fast-fail fresh auths with a retryable denial.
+
+    ``auth_vec`` is the :class:`AuthVec` the frontend already unwrapped
+    with the broker's key to route the request, so the shard does not
+    pay a second RSA private op for it; ``None`` if the frontend could
+    not decode it (the shard then unwraps and denies it itself).
     """
 
     auth_req_t: object
     reply_token: int = 0
     replay_only: bool = False
+    auth_vec: Optional[AuthVec] = None
 
 
 @dataclass(frozen=True)
@@ -479,8 +484,11 @@ class ShardHost(SignalingNode):
                        f"{self.shard_id} failing over"),
                 retryable=True), size=96)
             return
+        # Only the frontend (the same broker, holding the same key) may
+        # hand over an unwrapped authVec.
+        auth_vec = request.auth_vec if src_ip == self.frontend_ip else None
         try:
-            prepared = sap.prevalidate(request.auth_req_t, now)
+            prepared = sap.prevalidate(request.auth_req_t, now, auth_vec)
         except SapError as exc:
             self.auths_denied += 1
             self.send(src_ip, ShardAuthResponse(
@@ -920,7 +928,7 @@ class _PendingAttach:
     src_ip: str
     request: object            # the AGW's BrokerAuthRequest
     deferred: object
-    id_u: Optional[str]
+    auth_vec: Optional[AuthVec]   # None: undecryptable at the frontend
     shard_id: int
     attempts: int = 0
 
@@ -1193,28 +1201,29 @@ class ShardFrontend:
         deferred = self.brokerd.defer_reply()
         scale = self.brokerd._cost_scale()
         self.brokerd.charge(AUTHVEC_DECRYPT_COST * scale)
-        id_u: Optional[str] = None
         try:
-            auth_vec = AuthVec.from_bytes(self.brokerd.key.decrypt(
-                request.auth_req_t.auth_req_u.auth_vec_encrypted))
-            id_u = auth_vec.id_u
-        except (CryptoError, MessageError):
-            pass   # undecryptable: any shard will deny it properly
-        if self._rebalance is not None and id_u is not None \
-                and id_u in self._rebalance["moving"]:
+            auth_vec = self.brokerd.sap.unwrap_auth_vec(request.auth_req_t)
+        except SapError:
+            auth_vec = None   # undecryptable: any shard will deny it
+        if self._rebalance is not None and auth_vec is not None \
+                and auth_vec.id_u in self._rebalance["moving"]:
             # Mid-handoff: park rather than risk serving from a shard
             # that no longer (or does not yet) own the state.
             self.parked_attaches.inc()
             self._rebalance["parked"].append(
-                (src_ip, request, deferred, id_u))
+                (src_ip, request, deferred, auth_vec))
             return
-        shard_id = self.ring.shard_for(id_u) if id_u is not None \
-            else self.active_ids[0]
+        shard_id = self.ring.shard_for(auth_vec.id_u) \
+            if auth_vec is not None else self.active_ids[0]
+        self._forward(src_ip, request, deferred, auth_vec, shard_id)
+
+    def _forward(self, src_ip: str, request, deferred,
+                 auth_vec: Optional[AuthVec], shard_id: int) -> None:
         token = self._next_token
         self._next_token += 1
         self._pending[token] = _PendingAttach(
             src_ip=src_ip, request=request, deferred=deferred,
-            id_u=id_u, shard_id=shard_id)
+            auth_vec=auth_vec, shard_id=shard_id)
         self._transmit_forward(token)
 
     def _transmit_forward(self, token: int) -> None:
@@ -1239,7 +1248,8 @@ class ShardFrontend:
             addr, replay_only = st.primary_addr, False
         forward = ShardAuthRequest(
             auth_req_t=record.request.auth_req_t,
-            reply_token=token, replay_only=replay_only)
+            reply_token=token, replay_only=replay_only,
+            auth_vec=record.auth_vec)
         self.brokerd.send_request(
             addr, forward, size=record.request.auth_req_t.wire_size + 16,
             timeout=self.forward_timeout,
@@ -1601,14 +1611,9 @@ class ShardFrontend:
             "parked": len(parked),
             "active": list(self.active_ids),
         })
-        for src_ip, request, deferred, id_u in parked:
-            shard_id = self.ring.shard_for(id_u)
-            token = self._next_token
-            self._next_token += 1
-            self._pending[token] = _PendingAttach(
-                src_ip=src_ip, request=request, deferred=deferred,
-                id_u=id_u, shard_id=shard_id)
-            self._transmit_forward(token)
+        for src_ip, request, deferred, auth_vec in parked:
+            self._forward(src_ip, request, deferred, auth_vec,
+                          self.ring.shard_for(auth_vec.id_u))
 
     def note_retransmitted(self, message) -> None:
         """Fed from ``Brokerd.note_retransmitted_request``."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.messages import AuthVec, MessageError
+from repro.core.messages import AuthRespT, AuthRespU, AuthVec, MessageError
 from repro.core.qos import QosCapabilities, QosInfo
 from repro.core.sap import (
     BrokerSap,
@@ -403,3 +403,33 @@ class TestAuthVecSerialization:
             AuthVec.from_bytes(b"not json")
         with pytest.raises(MessageError):
             AuthVec.from_bytes(b'{"idU": "u"}')
+
+    @pytest.mark.parametrize("raw", [
+        b"[]", b"1", b"null", b'"idU"',
+        b'{"idU": "u", "idB": "b", "idT": "t", "n": 5}',
+        b'{"idU": ["u"], "idB": "b", "idT": "t", "n": "00"}',
+        b'{"idU": "u", "idB": 7, "idT": "t", "n": "00"}',
+        b'{"idU": "u", "idB": "b", "idT": "t", "n": "00", "scope": 5}',
+        b'{"idU": "u", "idB": "b", "idT": "t", "n": "00",'
+        b' "scope": {"telcos": [["t"]]}}',
+        b'{"idU": "u", "idB": "b", "idT": "t", "n": "00",'
+        b' "scope": {"ttl": "soon"}}',
+    ])
+    def test_wrongly_shaped_plaintext_is_a_message_error(self, raw):
+        with pytest.raises(MessageError):
+            AuthVec.from_bytes(raw)
+
+    def test_scope_request_roundtrips(self):
+        vec = AuthVec(id_u="u", id_b="b", id_t="t", nonce=b"n" * 16,
+                      scope={"telcos": ["t", "t2"], "ttl": 30})
+        assert AuthVec.from_bytes(vec.to_bytes()) == vec
+
+    @pytest.mark.parametrize("cls", [AuthRespT, AuthRespU])
+    @pytest.mark.parametrize("raw", [
+        b"[]", b"null",
+        b'{"idU": "u", "idT": "t", "ss": 5, "n": "00", "sid": "s",'
+        b' "qos": [], "exp": 1.0}',
+    ])
+    def test_wrongly_shaped_response_is_a_message_error(self, cls, raw):
+        with pytest.raises(MessageError):
+            cls.from_bytes(raw)

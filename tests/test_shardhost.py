@@ -7,15 +7,19 @@ degraded-mode fast-fail (retryable) when a whole shard is dark plus
 recovery after a host rejoins, live rebalance over real links moving
 the replay window with the subscriber, rebalance during the in-process
 batched pipeline (no lost or double-served request), UE backoff/retry
-on retryable denials on both RATs, and byte-identical frontend metrics
-under a fixed seed.
+on retryable denials on both RATs, byte-identical frontend metrics
+under a fixed seed, and the same denial on every broker tier for
+malformed and forged requests whose authVec the frontend unwrapped.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.messages import (
+    AuthReqU,
+    AuthVec,
     BrokerAuthRequest,
     BrokerAuthResponse,
     DenialCause,
@@ -76,6 +80,39 @@ class BrokerProbe:
             BrokerAuthRequest(auth_req_t=auth_req_t,
                               reply_token=self._token),
             size=auth_req_t.wire_size, timeout=0.5, max_attempts=5)
+
+
+def signed_request(net, encrypted, site_name="btelco-a"):
+    """An authReqU carrying ``encrypted`` as its authVec ciphertext,
+    validly signed by alice's key and countersigned by the site."""
+    creds = net.credentials
+    req_u = AuthReqU(sig_authvec=creds.ue_key.sign(encrypted),
+                     auth_vec_encrypted=encrypted, id_b=creds.id_b)
+    return net.sites[site_name].agw.sap.augment_request(req_u)
+
+
+def build_tier(tier):
+    """One-site network whose broker runs the named tier: the serial or
+    pipelined in-process SAP, or network-attached shard hosts."""
+    if tier == "shard_hosts":
+        sim, net, _ = build_distributed(site_names=("btelco-a",))
+        return sim, net
+    sim = Simulator()
+    net = build_cellbricks_network(sim, site_names=("btelco-a",))
+    if tier == "pipeline":
+        net.brokerd.configure_pipeline(enabled=True, shards=4)
+    return sim, net
+
+
+def denial_counts(net):
+    """SAP denials by cause, summed over whichever SAPs did the work."""
+    hosts = getattr(net, "shard_hosts", None)
+    saps = [host.sap for host in hosts.values()] if hosts \
+        else [net.brokerd.sap]
+    totals = Counter()
+    for sap in saps:
+        totals.update(dict(sap.attach_denied))
+    return +totals
 
 
 def owning_host(frontend, id_u):
@@ -409,3 +446,107 @@ class TestFrontendMetricsDeterminism:
         second = self._snapshot()
         assert json.dumps(first, sort_keys=True) \
             == json.dumps(second, sort_keys=True)
+
+
+def malformed_authvecs(id_b):
+    """authVec plaintexts that decrypt fine but are not an authVec: JSON
+    that is no object, or an object with a wrongly typed field."""
+    good = {"idU": "alice", "idB": id_b, "idT": "btelco-a",
+            "n": "0a" * 16}
+    shapes = ([], 1, None, {**good, "n": 5}, {**good, "idU": ["alice"]},
+              {**good, "scope": 5})
+    return [json.dumps(shape).encode() for shape in shapes]
+
+
+class TestMalformedAuthVec:
+    """A validly signed request whose authVec plaintext is valid JSON of
+    the wrong shape is denied as malformed on every broker tier; nothing
+    escapes the simulation and the broker keeps serving."""
+
+    @pytest.mark.parametrize("tier", ["serial", "pipeline", "shard_hosts"])
+    def test_denied_malformed_then_good_request_approved(self, tier):
+        sim, net = build_tier(tier)
+        probe = BrokerProbe(net)
+        creds = net.credentials
+        plaintexts = malformed_authvecs(creds.id_b)
+        for index, plaintext in enumerate(plaintexts):
+            req_t = signed_request(
+                net, creds.broker_public_key.encrypt(plaintext))
+            sim.schedule(0.1 + 0.1 * index, probe.submit, req_t)
+        sim.run(until=1.0)
+        assert len(probe.responses) == len(plaintexts)
+        for resp in probe.responses:
+            assert not resp.approved and not resp.retryable
+            assert resp.cause.startswith("authVec: ")
+        assert denial_counts(net) == Counter(
+            {DenialCause.MALFORMED.value: len(plaintexts)})
+        _, good = craft_request(net, "alice")
+        probe.submit(good)
+        sim.run(until=2.0)
+        assert probe.responses[-1].approved
+
+
+def _forged_ue_signature(net):
+    req_u, _ = craft_request(net, "alice")
+    forged = AuthReqU(sig_authvec=b"\x00" * len(req_u.sig_authvec),
+                      auth_vec_encrypted=req_u.auth_vec_encrypted,
+                      id_b=req_u.id_b)
+    return net.sites["btelco-a"].agw.sap.augment_request(forged)
+
+
+def _relayed_for_other_site(net):
+    creds = net.credentials
+    ue = UeSap(creds)
+    return net.sites["btelco-a"].agw.sap.augment_request(
+        ue.craft_request("btelco-b"))
+
+
+def _wrong_broker(net):
+    vec = AuthVec(id_u="alice", id_b="other-broker", id_t="btelco-a",
+                  nonce=b"\x07" * 16)
+    return signed_request(
+        net, net.credentials.broker_public_key.encrypt(vec.to_bytes()))
+
+
+def _unknown_subscriber(net):
+    return craft_request(net, "mallory")[1]
+
+
+def _undecryptable(net):
+    return signed_request(net, b"\x01" * 178)
+
+
+DENIAL_CASES = {
+    "forged_ue_signature": (_forged_ue_signature,
+                            DenialCause.BAD_SIGNATURE),
+    "relayed_for_other_site": (_relayed_for_other_site,
+                               DenialCause.MISMATCH),
+    "wrong_broker": (_wrong_broker, DenialCause.MISMATCH),
+    "unknown_subscriber": (_unknown_subscriber,
+                           DenialCause.UNKNOWN_SUBSCRIBER),
+    "undecryptable": (_undecryptable, DenialCause.MALFORMED),
+}
+
+
+class TestForwardedDenialParity:
+    """The shard host checks a request whose authVec the frontend already
+    unwrapped exactly as the in-process broker checks it: same cause,
+    same message."""
+
+    @staticmethod
+    def _deny(tier, case):
+        sim, net = build_tier(tier)
+        probe = BrokerProbe(net)
+        sim.schedule(0.1, probe.submit, DENIAL_CASES[case][0](net))
+        sim.run(until=1.0)
+        assert len(probe.responses) == 1
+        return probe.responses[0], denial_counts(net)
+
+    @pytest.mark.parametrize("case", sorted(DENIAL_CASES))
+    def test_same_denial_as_in_process(self, case):
+        cause = DENIAL_CASES[case][1]
+        local, local_counts = self._deny("serial", case)
+        forwarded, forwarded_counts = self._deny("shard_hosts", case)
+        assert not local.approved and not forwarded.approved
+        assert forwarded.cause == local.cause
+        assert local_counts == forwarded_counts == Counter({cause.value: 1})

@@ -5,12 +5,18 @@ packet does not.  These gates pin it on a short seeded drive, so a change
 that brings back per-ACK heap churn (for instance a retransmission timer
 that cancels and pushes a fresh heap entry on every ACK) fails here on any
 machine.  Likewise the number of RSA prime searches a control-plane
-set-up runs: its pool keys come from the committed fixture.
+set-up runs: its pool keys come from the committed fixture, and the
+number of RSA private operations an attach costs: SAP's floor on every
+broker path.
 """
 
+import pytest
+
 from repro.apps import KIND_MPTCP, KIND_TCP, IperfClient, IperfServer
+from repro.core.shardhost import deploy_shard_hosts
 from repro.crypto import keypool, rsa
 from repro.emulation import EmulationConfig, HandoverEvent, PairedEmulation
+from repro.emulation.chaos import run_chaos
 from repro.net import Simulator
 
 DRIVE_SEED = 7
@@ -83,3 +89,55 @@ def test_warming_control_plane_slots_generates_no_keys(monkeypatch):
     keys = keypool.warm([*ATTACH_LTE_SLOTS, *BROKER_SCALE_SLOTS])
     assert len({key.n for key in keys}) == 38
     assert calls == []
+
+
+#: RSA private ops per fresh SAP attach: the UE, the bTelco and the
+#: broker's two seal-and-signs sign; the broker unwraps the authVec once,
+#: and the bTelco and the UE each open their sealed response.
+SIGNS_PER_ATTACH = 4
+DECRYPTS_PER_ATTACH = 3
+CHURN_ATTACHES = 12
+
+
+@pytest.mark.parametrize("rat,tier", [("lte", "shard_hosts"),
+                                      ("5g", "shard_hosts"),
+                                      ("lte", "pipeline")])
+def test_private_ops_per_fresh_attach_at_protocol_floor(monkeypatch, rat,
+                                                        tier):
+    """A fault-free attach churn, counted from the end of set-up (the CA
+    signs certificates while the network is built)."""
+    calls = {"sign": 0, "decrypt": 0}
+    real_sign = rsa.PrivateKey.sign
+    real_decrypt = rsa.PrivateKey.decrypt
+
+    def counting_sign(self, *args, **kwargs):
+        calls["sign"] += 1
+        return real_sign(self, *args, **kwargs)
+
+    def counting_decrypt(self, *args, **kwargs):
+        calls["decrypt"] += 1
+        return real_decrypt(self, *args, **kwargs)
+
+    monkeypatch.setattr(rsa.PrivateKey, "sign", counting_sign)
+    monkeypatch.setattr(rsa.PrivateKey, "decrypt", counting_decrypt)
+    built = {}
+
+    def on_network_built(network):
+        if tier == "shard_hosts":
+            deploy_shard_hosts(network, num_shards=2)
+        else:
+            network.brokerd.configure_pipeline(enabled=True, shards=4)
+        built["network"] = network
+        calls.update(sign=0, decrypt=0)
+
+    report = run_chaos(attaches=CHURN_ATTACHES, seed=3, rat=rat,
+                       on_network_built=on_network_built)
+    network = built["network"]
+    if tier == "shard_hosts":
+        fresh = sum(host.auths_served
+                    for host in network.shard_hosts.values())
+    else:
+        fresh = network.brokerd.sap.attach_ok
+    assert report.successes == fresh == CHURN_ATTACHES
+    assert calls == {"sign": SIGNS_PER_ATTACH * fresh,
+                     "decrypt": DECRYPTS_PER_ATTACH * fresh}
